@@ -66,8 +66,11 @@ class DeadlockError(RuntimeError):
         self.finding = finding
 
 
-def describe_request(req: Request) -> str:
-    """A human label for a blocked call (used in deadlock reports)."""
+def describe_request(req) -> str:
+    """A human label for a blocked call (used in deadlock reports); a
+    tuple of requests is a wait for any one of them."""
+    if isinstance(req, tuple):
+        return "wait_any(" + ", ".join(r.describe() for r in req) + ")"
     return req.describe()
 
 
@@ -155,8 +158,9 @@ class Sanitizer:
         self._sends: dict[tuple[int, int], _SendEntry] = {}
         #: (rank, op_id) -> _RecvEntry
         self._recvs: dict[tuple[int, int], _RecvEntry] = {}
-        #: rank -> the request its polling-wait is blocked on
-        self._blocked: dict[int, Request] = {}
+        #: rank -> the request its polling-wait is blocked on, or a tuple
+        #: of requests when any one of them completing ends the wait
+        self._blocked: dict[int, Request | tuple] = {}
         self._dead: set[int] = set()
         #: set once a deadlock knot is confirmed; blocked ranks then raise
         self._deadlock: Finding | None = None
@@ -302,19 +306,29 @@ class Sanitizer:
 
     # ------------------------------------------------------------- wait-for graph
 
-    def on_wait_enter(self, rank: int, req: Request) -> None:
+    # A wait on no request (``req`` None: window epochs, recovery rounds,
+    # the exit drain) is no edge of the graph and is never halted; its
+    # ticks still run the check on behalf of the ranks that are blocked.
+
+    def on_wait_enter(self, rank: int, req) -> None:
+        if req is None:
+            return
         with self._lock:
             self._blocked[rank] = req
             self._raise_if_halted(rank)
 
-    def on_wait_tick(self, rank: int, req: Request) -> None:
-        """Called from the polling-wait every idle-spin backoff."""
+    def on_wait_tick(self, rank: int, req) -> None:
+        """Called from the blocking wait on every idle park or backoff."""
         with self._lock:
-            self._raise_if_halted(rank)
+            if req is not None:
+                self._raise_if_halted(rank)
             self._deadlock_check()
-            self._raise_if_halted(rank)
+            if req is not None:
+                self._raise_if_halted(rank)
 
-    def on_wait_exit(self, rank: int, req: Request) -> None:
+    def on_wait_exit(self, rank: int, req) -> None:
+        if req is None:
+            return
         with self._lock:
             self._blocked.pop(rank, None)
 
@@ -326,8 +340,18 @@ class Sanitizer:
                 finding=self._deadlock,
             )
 
-    def _stuck_deps(self, rank: int, req: Request) -> set[int] | None:
+    def _stuck_deps(self, rank: int, req) -> set[int] | None:
         """The ranks *rank* is waiting on, or None if it is not stuck."""
+        if isinstance(req, tuple):
+            # waiting for any one: stuck only if every request is, on the
+            # union of their peers (the knot treats deps as "any may free")
+            deps: set[int] = set()
+            for r in req:
+                d = self._stuck_deps(rank, r)
+                if not d:
+                    return None
+                deps |= d
+            return deps
         if req.completed:
             # Third-party progression (async progress mode, or a nested
             # drive during the waiter's own backoff charges) finished the

@@ -25,6 +25,7 @@ from repro.cluster.substrate import (
 from repro.mp.channels import FABRICS, FaultPlan
 from repro.mp.channels.base import ChannelStack
 from repro.mp.communicator import Communicator, Group
+from repro.mp.errors import MpiErrTimeout
 from repro.mp.mpi import MpiEngine
 from repro.simtime import Clock, CostModel
 
@@ -471,7 +472,7 @@ class World:
         retransmission still needs acking.  Every rank therefore keeps the
         progress engine turning until all mains have returned and every
         live rank's unacked window is empty (the simulated analogue of the
-        drain inside MPI_Finalize).
+        drain inside MPI_Finalize).  Gives up quietly after ``timeout``.
         """
         import time as _time
 
@@ -481,18 +482,25 @@ class World:
             return
         if self.fault_plan is not None and self.fault_plan.is_dead(rank):
             return  # a crashed rank does not get a graceful drain
-        deadline = _time.monotonic() + timeout
-        spin = 0
-        while _time.monotonic() < deadline:
-            engine.progress.poll()
-            with self._done_lock:
-                expected = set(self._engines.keys()) - self._dead()
-                all_done = expected <= self._mains_done | self._dead()
-            if all_done and self._all_drained():
-                return
-            spin += 1
-            if spin & 0x3F == 0:
-                _time.sleep(0)
+        # lingering peers may be parked: this main returning is news to them
+        for eng in list(self._engines.values()):
+            bell = eng.device.channel.doorbell
+            if bell is not None:
+                bell.ring()
+        try:
+            engine.progress.core.block_until(
+                self._quiet, _time.monotonic() + timeout, "world drain"
+            )
+        except MpiErrTimeout:
+            pass
+
+    def _quiet(self) -> bool:
+        """Every live rank's main has returned and nobody owes the wire."""
+        with self._done_lock:
+            dead = self._dead()
+            expected = set(self._engines.keys()) - dead
+            all_done = expected <= self._mains_done | dead
+        return all_done and self._all_drained()
 
     def join_spawned(self, timeout: float = 30.0) -> None:
         for t in self._spawned_threads:

@@ -630,6 +630,31 @@ class CH3Device:
     # ------------------------------------------------------------------ misc
 
     @property
+    def streaming(self) -> bool:
+        """A cleared rendezvous send has bytes left: the next poll pumps
+        more of it, so a poll that handled no packet still progressed."""
+        for req in self._rndv_sends.values():
+            if req.cleared and req.cursor < req.total:
+                return True
+        return False
+
+    @property
+    def needs_polling(self) -> bool:
+        """True while the next poll has work no delivery will announce.
+
+        That is a packet the channel refused, a rendezvous stream to
+        pump, a reliability timer counting polls, or outbound bytes the
+        channel could not flush.  A waiter keeps polling through these
+        instead of parking on the doorbell.
+        """
+        return bool(
+            self._outbox
+            or self.streaming
+            or (self.rel is not None and not self.rel.quiescent)
+            or self.channel.tx_backlog
+        )
+
+    @property
     def quiescent(self) -> bool:
         return (
             not self._rndv_sends

@@ -13,16 +13,50 @@ wrappers like fault injection that compose over any concrete channel and
 delegate the five functions to an ``inner`` endpoint.  Hook wiring
 (:func:`repro.mp.hooks.wire_engine`) walks the ``inner`` chain so every
 layer of a stack shares the rank's spine.
+
+:class:`Doorbell` is a rank's wake-up line.  The fabric owns one per
+rank and its transports ring it whenever a delivery lands for that rank,
+so an idle waiter can park on it instead of spinning
+(:meth:`repro.mp.progress.ProgressCore.block_until`).
 """
 
 from __future__ import annotations
 
 import abc
+import threading
 from typing import Iterable
 
 from repro.mp.hooks import NULL_SPINE
 from repro.mp.packets import Packet
 from repro.simtime import Clock, CostModel
+
+
+class Doorbell:
+    """A rank's wake-up line: deliveries ring it, an idle waiter parks on it.
+
+    ``seq`` counts rings.  A waiter reads it *before* its progress step
+    and parks only if no ring came since, so a packet that lands between
+    the step and the park is never slept through.
+    """
+
+    __slots__ = ("_cond", "seq")
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition(threading.Lock())
+        self.seq = 0
+
+    def ring(self) -> None:
+        with self._cond:
+            self.seq += 1
+            self._cond.notify_all()
+
+    def park(self, seen: int, timeout: float) -> bool:
+        """Sleep until a ring after ``seen`` or for ``timeout`` seconds;
+        True if the bell rang."""
+        with self._cond:
+            if self.seq == seen:
+                self._cond.wait(timeout)
+            return self.seq != seen
 
 
 class Channel(abc.ABC):
@@ -44,6 +78,10 @@ class Channel(abc.ABC):
     #: the rank's hook spine; the counters below are exported as pull-model
     #: pvars (mp.ch.packets_sent, ...) at snapshot time
     hooks = NULL_SPINE
+
+    #: the rank's :class:`Doorbell` when every delivery to this endpoint
+    #: rings it; None means a waiter cannot park and must keep polling
+    doorbell: Doorbell | None = None
 
     def __init__(self, rank: int, clock: Clock, costs: CostModel) -> None:
         self.rank = rank
@@ -78,6 +116,12 @@ class Channel(abc.ABC):
 
     def finalize(self) -> None:
         self._finalized = True
+
+    @property
+    def tx_backlog(self) -> int:
+        """Outbound bytes this endpoint holds that only a later poll will
+        push (flow control); a waiter must not park on them."""
+        return 0
 
     # -- one-sided (RMA) capability --------------------------------------------
     #
@@ -233,10 +277,20 @@ class ChannelFabric:
     #: fabrics); pipe-snapshot fabrics like sock cannot retrofit peers
     supports_dynamic_ranks: bool = False
 
-    def __init__(self, world_size: int) -> None:
+    def __init__(self, world_size: int, doorbells: dict[int, Doorbell] | None = None) -> None:
         self.world_size = world_size
         self._endpoints: dict[int, Channel] = {}
         self._shut_down = False
+        #: rank -> its doorbell; fabrics composed of others (ssm) pass one
+        #: map down so each rank has a single bell across its transports
+        self._doorbells = doorbells if doorbells is not None else {}
+
+    def doorbell(self, rank: int) -> Doorbell:
+        """The doorbell every delivery to ``rank`` rings."""
+        bell = self._doorbells.get(rank)
+        if bell is None:
+            bell = self._doorbells.setdefault(rank, Doorbell())
+        return bell
 
     def endpoint(self, rank: int, clock: Clock, costs: CostModel) -> Channel:
         if rank in self._endpoints:

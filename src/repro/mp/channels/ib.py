@@ -55,6 +55,7 @@ class IbChannel(Channel):
         self._queues = queues
         self._windows = windows if windows is not None else _WindowRegistry()
         self.rma_bytes = 0
+        self.doorbell = queues[rank].doorbell
         #: registered 'pages' (id(base buffer) is unavailable here, so the
         #: cache keys on payload length class — a coarse but monotone model)
         self._reg_cache: set[int] = set()
@@ -163,7 +164,9 @@ class IbFabric(ChannelFabric):
 
     def __init__(self, world_size: int, queue_capacity: int = 4096) -> None:
         super().__init__(world_size)
-        self._queues = {r: _SharedQueue(queue_capacity) for r in range(world_size)}
+        self._queues = {
+            r: _SharedQueue(queue_capacity, self.doorbell(r)) for r in range(world_size)
+        }
         self._windows = _WindowRegistry()
 
     def _make(self, rank: int, clock: Clock, costs: CostModel) -> IbChannel:
@@ -171,5 +174,5 @@ class IbFabric(ChannelFabric):
 
     def add_rank(self, rank: int, queue_capacity: int = 4096) -> None:
         if rank not in self._queues:
-            self._queues[rank] = _SharedQueue(queue_capacity)
+            self._queues[rank] = _SharedQueue(queue_capacity, self.doorbell(rank))
             self.world_size = max(self.world_size, rank + 1)

@@ -3,7 +3,7 @@
 Stands in for MPICH2's ``shm`` channel.  Packets cross between rank
 threads as objects (the payload bytes are copied once at enqueue, the
 "write into the shared segment"), through a lock-protected bounded deque
-per destination rank.
+per destination rank; each put rings the destination rank's doorbell.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import threading
 from collections import deque
 
 from repro.mp.buffers import accumulate_into
-from repro.mp.channels.base import Channel, ChannelFabric
+from repro.mp.channels.base import Channel, ChannelFabric, Doorbell
 from repro.mp.packets import Packet
 from repro.simtime import Clock, CostModel
 
@@ -20,17 +20,20 @@ from repro.simtime import Clock, CostModel
 class _SharedQueue:
     """A bounded multi-producer single-consumer packet queue."""
 
-    def __init__(self, capacity: int = 4096) -> None:
+    def __init__(self, capacity: int, doorbell: Doorbell) -> None:
         self.capacity = capacity
         self._q: deque[Packet] = deque()
         self._lock = threading.Lock()
+        #: the consumer rank's doorbell, rung by every accepted put
+        self.doorbell = doorbell
 
     def put(self, pkt: Packet) -> bool:
         with self._lock:
             if len(self._q) >= self.capacity:
                 return False
             self._q.append(pkt)
-            return True
+        self.doorbell.ring()
+        return True
 
     def drain(self, limit: int | None = None) -> list[Packet]:
         with self._lock:
@@ -93,6 +96,7 @@ class ShmChannel(Channel):
         self._queues = queues  # dest rank -> its inbound queue
         self._windows = windows if windows is not None else _WindowRegistry()
         self.rma_bytes = 0  # native one-sided bytes landed by this rank
+        self.doorbell = queues[rank].doorbell
 
     def init(self, world_size: int) -> None:
         self.world_size = world_size
@@ -178,9 +182,12 @@ class ShmFabric(ChannelFabric):
     channel_cls = ShmChannel
     supports_dynamic_ranks = True
 
-    def __init__(self, world_size: int, queue_capacity: int = 4096) -> None:
-        super().__init__(world_size)
-        self._queues = {r: _SharedQueue(queue_capacity) for r in range(world_size)}
+    def __init__(self, world_size: int, queue_capacity: int = 4096,
+                 doorbells: dict[int, Doorbell] | None = None) -> None:
+        super().__init__(world_size, doorbells)
+        self._queues = {
+            r: _SharedQueue(queue_capacity, self.doorbell(r)) for r in range(world_size)
+        }
         self._windows = _WindowRegistry()
 
     def _make(self, rank: int, clock: Clock, costs: CostModel) -> ShmChannel:
@@ -189,5 +196,5 @@ class ShmFabric(ChannelFabric):
     def add_rank(self, rank: int, queue_capacity: int = 4096) -> None:
         """Dynamic process management support: grow the fabric."""
         if rank not in self._queues:
-            self._queues[rank] = _SharedQueue(queue_capacity)
+            self._queues[rank] = _SharedQueue(queue_capacity, self.doorbell(rank))
             self.world_size = max(self.world_size, rank + 1)

@@ -4,7 +4,9 @@ The configuration Motor shipped with: "the MPICH2 Windows sock channel
 within the CH3 device" (paper §7, Figure 7).  Each rank pair is connected
 by a duplex byte-pipe 'socket'; packets are framed with a fixed header;
 arrivals surface through an I/O completion port, the Windows-specific
-mechanism that kept this channel *below* the PAL (§7.1).
+mechanism that kept this channel *below* the PAL (§7.1).  The port rings
+the rank's doorbell for every completion, i.e. for every byte-pipe write
+toward this rank.
 
 Framing means a large message genuinely streams: a DATA chunk may be
 half-arrived when the progress engine polls, and the remainder lands on a
@@ -13,7 +15,7 @@ later poll — the multi-poll window in which an unpinned buffer can move.
 
 from __future__ import annotations
 
-from repro.mp.channels.base import Channel, ChannelFabric
+from repro.mp.channels.base import Channel, ChannelFabric, Doorbell
 from repro.mp.packets import HEADER_SIZE, Packet
 from repro.pal.iocp import CompletionPort
 from repro.pal.pipes import BytePipe, PipeClosed
@@ -30,11 +32,13 @@ class SockChannel(Channel):
         costs: CostModel,
         tx_pipes: dict[int, BytePipe],
         rx_pipes: dict[int, BytePipe],
+        doorbell: Doorbell,
     ) -> None:
         super().__init__(rank, clock, costs)
         self._tx = tx_pipes  # dest rank -> pipe this rank writes
         self._rx = rx_pipes  # src rank -> pipe this rank reads
-        self._iocp = CompletionPort(name=f"rank{rank}")
+        self.doorbell = doorbell
+        self._iocp = CompletionPort(name=f"rank{rank}", doorbell=doorbell)
         # partially decoded inbound frame per source rank
         self._partial: dict[int, tuple[Packet, int, bytearray]] = {}
         # outbound bytes that did not fit in the pipe (flow control)
@@ -144,8 +148,9 @@ class SockChannel(Channel):
 class SockFabric(ChannelFabric):
     channel_cls = SockChannel
 
-    def __init__(self, world_size: int, pipe_capacity: int = 1 << 20) -> None:
-        super().__init__(world_size)
+    def __init__(self, world_size: int, pipe_capacity: int = 1 << 20,
+                 doorbells: dict[int, Doorbell] | None = None) -> None:
+        super().__init__(world_size, doorbells)
         self.pipe_capacity = pipe_capacity
         # pipes[(a, b)] carries bytes from a to b
         self._pipes: dict[tuple[int, int], BytePipe] = {}
@@ -157,7 +162,7 @@ class SockFabric(ChannelFabric):
     def _make(self, rank: int, clock: Clock, costs: CostModel) -> SockChannel:
         tx = {b: self._pipes[(rank, b)] for b in range(self.world_size) if b != rank}
         rx = {a: self._pipes[(a, rank)] for a in range(self.world_size) if a != rank}
-        return SockChannel(rank, clock, costs, tx, rx)
+        return SockChannel(rank, clock, costs, tx, rx, self.doorbell(rank))
 
     # NOTE: no add_rank — sock endpoints snapshot their pipe maps at
     # creation, so ranks added later would be unreachable from existing

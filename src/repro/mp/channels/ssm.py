@@ -2,7 +2,8 @@
 
 MPICH2's ``ssm`` picks shm within a node and sock across nodes (paper §6).
 The fabric takes a node map; peers on the same node talk through the shm
-path, everyone else through the sock path.
+path, everyone else through the sock path.  Both sub-fabrics share the
+ssm fabric's doorbells, so a rank's one bell rings for either path.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ class SsmChannel(Channel):
         self._shm = shm
         self._sock = sock
         self._node_of = node_of
+        # one bell only if both paths ring it (the ssm fabric shares them)
+        self.doorbell = shm.doorbell if shm.doorbell is sock.doorbell else None
 
     def init(self, world_size: int) -> None:
         self.world_size = world_size
@@ -48,6 +51,10 @@ class SsmChannel(Channel):
     def has_incoming(self) -> bool:
         return self._shm.has_incoming() or self._sock.has_incoming()
 
+    @property
+    def tx_backlog(self) -> int:
+        return self._shm.tx_backlog + self._sock.tx_backlog
+
     def finalize(self) -> None:
         if self._finalized:
             return
@@ -63,8 +70,8 @@ class SsmFabric(ChannelFabric):
         super().__init__(world_size)
         #: default: pairs of ranks per simulated node
         self.node_of = node_of or {r: r // 2 for r in range(world_size)}
-        self._shm = ShmFabric(world_size)
-        self._sock = SockFabric(world_size)
+        self._shm = ShmFabric(world_size, doorbells=self._doorbells)
+        self._sock = SockFabric(world_size, doorbells=self._doorbells)
 
     def _make(self, rank: int, clock: Clock, costs: CostModel) -> SsmChannel:
         shm = self._shm.endpoint(rank, clock, costs)

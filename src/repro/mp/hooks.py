@@ -37,8 +37,11 @@ Event catalog (arguments each ``on_<event>`` receives):
 ``match(req, src, send_op_id)``    a receive matched a send
 ``recv_complete(status)`` a receive finished (post-truncation status)
 ``wildcard_scan(tag_sel, comm_sel, sources)``  ANY_SOURCE scanned a queue
-``wait_enter(req)``       a blocking wait began
-``wait_tick(req)``        idle backoff inside a blocking wait
+``wait_enter(req)``       a blocking wait began; ``req`` is the awaited
+                          request, a tuple (wait for any one) or None
+                          (a wait on no request)
+``wait_tick(req)``        a park timed out (or a spin backed off) inside
+                          a blocking wait
 ``wait_exit(req)``        the blocking wait returned or raised
 ``peer_failed(peer)``     reliability declared a peer dead
 ``retransmit(pkt, retries)``       reliability re-sent an unacked packet

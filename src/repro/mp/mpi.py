@@ -9,6 +9,7 @@ differ only in how they cross into it — which is the paper's experiment.
 
 from __future__ import annotations
 
+import time
 from typing import Callable
 
 from repro.mp.buffers import BufferDesc
@@ -198,15 +199,13 @@ class MpiEngine:
                 self.device.post_recv(req)
         return req
 
-    def _guarded_wait(
-        self, req: Request, comm: Communicator, timeout: float | None = None
-    ) -> None:
-        """Progress-wait, reporting process failure per the communicator's
-        error handler: ERRORS_RETURN raises a catchable
+    def _guarded(self, comm: Communicator, wait, *args, **kw) -> None:
+        """Run a progress wait, reporting process failure per the
+        communicator's error handler: ERRORS_RETURN raises a catchable
         :class:`MpiErrProcFailed`; ERRORS_ARE_FATAL marks the engine
         aborted and raises :class:`MpiFatalError` (the simulated abort)."""
         try:
-            self.progress.wait(req, timeout=timeout)
+            wait(*args, **kw)
         except MpiErrProcFailed as exc:
             if comm.errhandler == ERRORS_ARE_FATAL:
                 self.aborted = True
@@ -217,15 +216,15 @@ class MpiEngine:
 
     def send(self, buf: BufferDesc, dest: int, tag: int, comm: Communicator | None = None, **kw) -> None:
         req = self.isend(buf, dest, tag, comm, **kw)
-        self._guarded_wait(req, comm or self.comm_world)
+        self._guarded(comm or self.comm_world, self.progress.wait, req)
 
     def ssend(self, buf: BufferDesc, dest: int, tag: int, comm: Communicator | None = None) -> None:
         req = self.isend(buf, dest, tag, comm, sync=True)
-        self._guarded_wait(req, comm or self.comm_world)
+        self._guarded(comm or self.comm_world, self.progress.wait, req)
 
     def recv(self, buf: BufferDesc, source: int, tag: int, comm: Communicator | None = None, **kw) -> Status:
         req = self.irecv(buf, source, tag, comm, **kw)
-        self._guarded_wait(req, comm or self.comm_world)
+        self._guarded(comm or self.comm_world, self.progress.wait, req)
         return self._finish_recv(req, comm or self.comm_world)
 
     def _finish_recv(self, req: Request, comm: Communicator) -> Status:
@@ -251,7 +250,7 @@ class MpiEngine:
         timeout: float | None = None,
     ) -> Status:
         req.check_usable()
-        self._guarded_wait(req, comm or self.comm_world, timeout=timeout)
+        self._guarded(comm or self.comm_world, self.progress.wait, req, timeout=timeout)
         if req.kind == RECV:
             return self._finish_recv(req, comm or self.comm_world)
         return req.status
@@ -259,30 +258,18 @@ class MpiEngine:
     def wait_all(
         self, reqs, comm: Communicator | None = None, timeout: float | None = None
     ) -> list[Status]:
-        deadline = None
-        if timeout is not None:
-            import time as _time
+        """MPI_Waitall: wait for the whole batch, then finish each receive.
 
-            deadline = _time.monotonic() + timeout
-        out = []
+        A truncated receive is reported only once every request has
+        completed; a process failure or timeout raises before any receive
+        is finished (a later ``wait`` on one still finishes it).
+        """
+        comm = comm or self.comm_world
+        reqs = list(reqs)
         for r in reqs:
-            remaining = None
-            if deadline is not None:
-                import time as _time
-
-                remaining = deadline - _time.monotonic()
-                if remaining <= 0.0:
-                    # batch deadline already passed: raise immediately for
-                    # stragglers instead of N delayed zero-timeout waits
-                    if not r.completed:
-                        from repro.mp.errors import MpiErrTimeout
-
-                        raise MpiErrTimeout(
-                            f"request {r.op_id} incomplete after {timeout}s (batch deadline)"
-                        )
-                    remaining = None  # already done: just collect its status
-            out.append(self.wait(r, comm, timeout=remaining))
-        return out
+            r.check_usable()
+        self._guarded(comm, self.progress.wait_all, reqs, timeout=timeout)
+        return [self._finish_recv(r, comm) if r.kind == RECV else r.status for r in reqs]
 
     def test(self, req: Request) -> bool:
         req.check_usable()
@@ -309,30 +296,14 @@ class MpiEngine:
         """MPI_Waitany: block until one request completes; returns its index."""
         if not reqs:
             raise MpiErrRequest("wait_any on an empty request list")
-        import time as _time
-
-        from repro.mp.errors import MpiErrTimeout
-
-        deadline = None if timeout is None else _time.monotonic() + timeout
-        spin = 0
-        while True:
-            for i, r in enumerate(reqs):
-                if r.completed:
-                    # may have completed via async progress mid-compute:
-                    # consumption applies the deferred arrival time
-                    self.clock.apply_pending()
-                    return i
-            if self.progress.poll() == 0:
-                spin += 1
-                if spin & 0x3F == 0:
-                    _time.sleep(0)
-            else:
-                # a productive poll resets the backoff, same as wait():
-                # otherwise 64 cumulative idle polls lock in sleep(0)
-                # cadence forever, even on a busy link
-                spin = 0
-            if deadline is not None and _time.monotonic() > deadline:
-                raise MpiErrTimeout(f"no request of {len(reqs)} completed after {timeout}s")
+        reqs = tuple(reqs)
+        self.progress.core.block_until(
+            lambda: any(r.completed for r in reqs),
+            None if timeout is None else time.monotonic() + timeout,
+            f"no request of {len(reqs)} completed after {timeout}s",
+            reqs,
+        )
+        return next(i for i, r in enumerate(reqs) if r.completed)
 
     def wait_some(self, reqs, timeout: float | None = None) -> list[int]:
         """MPI_Waitsome: block until >= 1 completes; returns their indices."""
@@ -341,8 +312,11 @@ class MpiEngine:
         return [i for i, r in enumerate(reqs) if r.completed] or [first]
 
     def iprobe(self, source: int, tag: int, comm: Communicator | None = None) -> Status | None:
-        comm = comm or self.comm_world
         self.progress.poll()
+        return self._peek(source, tag, comm or self.comm_world)
+
+    def _peek(self, source: int, tag: int, comm: Communicator) -> Status | None:
+        """Match (source, tag) against the unexpected queue, no progress."""
         src_world = ANY_SOURCE if source == ANY_SOURCE else comm.world_rank_of(source)
         if self._plock is None:
             st = self.device.iprobe(src_world, tag, comm.context_id)
@@ -354,10 +328,20 @@ class MpiEngine:
         return st
 
     def probe(self, source: int, tag: int, comm: Communicator | None = None) -> Status:
-        while True:
-            st = self.iprobe(source, tag, comm)
-            if st is not None:
-                return st
+        """MPI_Probe: block until a matching message is waiting; returns
+        its status without receiving it."""
+        comm = comm or self.comm_world
+        found: list[Status] = []
+
+        def arrived() -> bool:
+            if not found:
+                st = self._peek(source, tag, comm)
+                if st is not None:
+                    found.append(st)
+            return bool(found)
+
+        self.progress.core.block_until(arrived)
+        return found[0]
 
     def cancel(self, req: Request) -> bool:
         if self._plock is None:

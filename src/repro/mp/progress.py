@@ -23,7 +23,8 @@ The layering here is MPICH's progress split made explicit:
     The one callable progress step — device poll plus schedule
     advancement — with counters distinguishing caller-initiated from
     async-initiated steps.  Everything that completes a request goes
-    through :meth:`ProgressCore.step`.
+    through :meth:`ProgressCore.step`, and every blocking wait through
+    :meth:`ProgressCore.block_until`.
 :class:`ProgressEngine`
     The caller-facing façade: the polling-wait family (``wait``,
     ``wait_all``, ``poll_until``, ``test``) built on the core.
@@ -33,11 +34,31 @@ The layering here is MPICH's progress split made explicit:
     advances — during application *compute*, not just library calls.  The
     driver is the seam where a real progress thread plugs in later.
 
+Every blocking wait of the stack — ``wait``/``wait_all``/``poll_until``
+here, ``MpiEngine.wait_any``/``probe``, the recovery agreement rounds and
+``World.quiesce`` — is one call to :meth:`ProgressCore.block_until`, the
+single place a rank waits.  After an idle step it *parks* on the rank's
+doorbell (:class:`repro.mp.channels.base.Doorbell`), which the channel
+rings on every delivery, so the peer thread gets the CPU at once and the
+waiter wakes the moment a packet lands.  It parks only when nothing but a
+delivery can make progress: the device owes no poll-counted work
+(:attr:`~repro.mp.ch3.CH3Device.needs_polling`) and the channel stack has
+a doorbell.  While a doorbell stack owes such work (typically an
+unacked reliable packet) it yields with ``sleep(0)`` after every idle
+step, so the peer gets the CPU to answer before the retransmit timer
+runs out.  Fault-wrapped stacks and the proc channel have no doorbell,
+so there the wait spins as before — ``SPIN_POLLS`` idle steps, then a
+``sleep(0)`` — and the poll-counted fault delays and reliability timers
+see exactly the poll cadence they always did.
+
 The wait is bounded two ways ("MPI Progress For All"): an optional wall
-``timeout`` raises :class:`MpiErrTimeout`, and a request completed with
+deadline raises :class:`MpiErrTimeout`, and a request completed with
 ``MPI_ERR_PROC_FAILED`` (the reliability sublayer's dead-peer verdict)
 raises :class:`MpiErrProcFailed` instead of returning garbage — so a dead
-peer can never wedge the polling loop.
+peer can never wedge the polling loop.  The wait hooks fire on entry, on
+exit, and on every park that times out (every ``SPIN_POLLS`` idle steps
+when spinning): that quiet moment is when the sanitizer looks for a
+cross-rank deadlock knot.
 """
 
 from __future__ import annotations
@@ -51,6 +72,14 @@ from repro.mp.hooks import NULL_SPINE
 from repro.mp.reliability import PROC_FAILED
 from repro.mp.request import Request
 from repro.simtime.sched import ensure_scheduler
+
+#: how long an idle waiter parks on its rank's doorbell before it steps
+#: again (seconds).  A ring ends the park at once; the timeout only bounds
+#: how late the waiter notices a condition no delivery announces (a peer
+#: rank finishing, a wall deadline) and sets the deadlock-check cadence.
+PARK_TIMEOUT_S = 0.002
+#: idle steps between two ``sleep(0)`` yields when the waiter cannot park
+SPIN_POLLS = 64
 
 #: scheduler key for a rank's async progress task — keyed (not per-engine)
 #: so an engine rebuilt on the same clock (communicator shrink, rank
@@ -153,6 +182,69 @@ class ProgressCore:
     def overlap_ratio(self) -> float:
         """Fraction of handled packets progressed by the async driver."""
         return self.async_handled / self.handled if self.handled else 0.0
+
+    def block_until(self, cond: Callable[[], bool], deadline: float | None = None,
+                    what: str = "condition unmet", waiting_on=None) -> None:
+        """Step until ``cond()`` holds: the one blocking wait of the stack.
+
+        ``deadline`` (``time.monotonic()`` seconds) raises
+        :class:`MpiErrTimeout` with message ``what``.  ``waiting_on`` is
+        what the wait hooks receive: the awaited request, a tuple of them
+        (any one completing ends the wait), or None for a wait on no
+        request.
+        """
+        h = self.hooks
+        cbs = h.wait_enter
+        if cbs:
+            for cb in cbs:
+                cb(waiting_on)
+        try:
+            device = self.device
+            bell = device.channel.doorbell
+            idle = 0
+            while not cond():
+                seen = bell.seq if bell is not None else 0
+                if self.step():
+                    idle = 0
+                elif cond():
+                    break
+                elif bell is not None and not device.needs_polling:
+                    park = PARK_TIMEOUT_S
+                    if deadline is not None:
+                        park = min(park, max(0.0, deadline - time.monotonic()))
+                    if not bell.park(seen, park):
+                        self._tick(waiting_on)
+                elif bell is None or not device.streaming:
+                    # Let the peer thread run (simulated SwitchToThread).
+                    # Without a doorbell, spin like real MPICH2 before
+                    # backing off.  A doorbell stack that may not park
+                    # yields every step: its timers need polls, and the
+                    # peer needs the CPU to answer (an ack).  One in the
+                    # middle of a stream just pumps on.
+                    idle += 1
+                    if bell is not None or idle == SPIN_POLLS:
+                        time.sleep(0)
+                    if idle == SPIN_POLLS:
+                        idle = 0
+                        self._tick(waiting_on)
+                # checked every iteration: a chatty-but-stuck peer
+                # (heartbeats, retransmits) must not defeat the bound
+                if deadline is not None and time.monotonic() > deadline and not cond():
+                    raise MpiErrTimeout(what)
+        finally:
+            cbs = h.wait_exit
+            if cbs:
+                for cb in cbs:
+                    cb(waiting_on)
+        # the condition may have come true during application compute
+        # (async progress) — consuming it is where the arrival time lands
+        self.device.clock.apply_pending()
+
+    def _tick(self, waiting_on) -> None:
+        ticks = self.hooks.wait_tick
+        if ticks:
+            for cb in ticks:
+                cb(waiting_on)
 
 
 class AsyncProgressDriver:
@@ -319,47 +411,17 @@ class ProgressEngine:
     def wait(self, req: Request, timeout: float | None = None) -> None:
         """Polling-wait until the request completes.
 
-        ``timeout`` (seconds, wall time) bounds the spin and raises
+        ``timeout`` (seconds, wall time) bounds the wait and raises
         :class:`MpiErrTimeout`; a request that completes with a dead peer
         raises :class:`MpiErrProcFailed`.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        spin = 0
-        h = self.core.hooks
-        cbs = h.wait_enter
-        if cbs:
-            for cb in cbs:
-                cb(req)
-        try:
-            while not req.completed:
-                if self.core.step() == 0:
-                    spin += 1
-                    if spin & 0x3F == 0:
-                        # Let the peer thread run (simulated SwitchToThread);
-                        # real MPICH2 spins the same way before backing off.
-                        time.sleep(0)
-                        ticks = h.wait_tick
-                        if ticks:
-                            # idle backoff: the quiet moment to look for a
-                            # cross-rank deadlock knot
-                            for cb in ticks:
-                                cb(req)
-                else:
-                    spin = 0
-                # checked every iteration: a chatty-but-stuck peer (heartbeats,
-                # retransmits) must not defeat the bound
-                if deadline is not None and time.monotonic() > deadline:
-                    raise MpiErrTimeout(
-                        f"request {req.op_id} incomplete after {timeout}s"
-                    )
-        finally:
-            cbs = h.wait_exit
-            if cbs:
-                for cb in cbs:
-                    cb(req)
-        # the request may have completed during application compute (async
-        # progress) — consuming its result is where the arrival time lands
-        self.core.device.clock.apply_pending()
+        self._wait(req, None if timeout is None else time.monotonic() + timeout, timeout)
+
+    def _wait(self, req: Request, deadline: float | None, timeout: float | None) -> None:
+        self.core.block_until(
+            lambda: req.completed, deadline,
+            f"request {req.op_id} incomplete after {timeout}s", req,
+        )
         self._check_failed(req)
 
     def poll_until(self, cond: Callable[[], bool], timeout: float | None = None,
@@ -369,22 +431,12 @@ class ProgressEngine:
         Unlike :meth:`wait` this is not tied to a single request — the
         agreement and snapshot-redistribution rounds juggle a shifting
         set of requests whose failures are part of the protocol, not an
-        error.  The wall ``timeout`` still bounds the spin (``MPI
+        error.  The wall ``timeout`` still bounds the wait (``MPI
         Progress For All``: no recovery step may hang forever), raising
         :class:`MpiErrTimeout` naming ``what``.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        spin = 0
-        while not cond():
-            if self.core.step() == 0:
-                spin += 1
-                if spin & 0x3F == 0:
-                    time.sleep(0)
-            else:
-                spin = 0
-            if deadline is not None and time.monotonic() > deadline:
-                raise MpiErrTimeout(f"{what} unmet after {timeout}s")
-        self.core.device.clock.apply_pending()
+        self.core.block_until(cond, deadline, f"{what} unmet after {timeout}s")
 
     def wait_all(self, reqs: Iterable[Request], timeout: float | None = None) -> None:
         """Wait for every request; ``timeout`` bounds the whole batch.
@@ -396,17 +448,11 @@ class ProgressEngine:
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         for req in reqs:
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0.0:
-                    if req.completed:
-                        self._check_failed(req)
-                        continue
-                    raise MpiErrTimeout(
-                        f"request {req.op_id} incomplete after {timeout}s (batch deadline)"
-                    )
-            self.wait(req, timeout=remaining)
+            if deadline is not None and not req.completed and time.monotonic() >= deadline:
+                raise MpiErrTimeout(
+                    f"request {req.op_id} incomplete after {timeout}s (batch deadline)"
+                )
+            self._wait(req, deadline, timeout)
 
     def test(self, req: Request) -> bool:
         self.core.step()

@@ -43,7 +43,7 @@ import struct
 from typing import Any
 
 from repro.mp.buffers import BufferDesc, NativeMemory
-from repro.mp.errors import MpiErrComm, MpiErrProcFailed, MpiErrTimeout
+from repro.mp.errors import MpiErrComm, MpiErrProcFailed
 from repro.mp.matching import ANY_SOURCE
 from repro.mp.reliability import PROC_FAILED
 
@@ -307,7 +307,9 @@ class RecoveryManager:
                 expect(r)
         deadline = self._deadline(timeout)
         while pending:
-            self._poll_step(deadline, "agreement stalled collecting contributions")
+            engine.progress.core.block_until(
+                lambda: any(req.completed for req, _ in pending.values()),
+                deadline, "agreement stalled collecting contributions")
             for r, (req, buf) in list(pending.items()):
                 if not req.completed:
                     continue
@@ -354,7 +356,10 @@ class RecoveryManager:
         rreq = engine.irecv(buf, coord, _TAG_AGREE_RESULT, comm, _internal=True)
         deadline = self._deadline(timeout)
         while True:
-            self._poll_step(deadline, "agreement stalled awaiting the result")
+            engine.progress.core.block_until(
+                lambda: rreq.completed or (sreq.completed
+                                           and sreq.status.error == PROC_FAILED),
+                deadline, "agreement stalled awaiting the result")
             if sreq.completed and sreq.status.error == PROC_FAILED and not rreq.completed:
                 engine.cancel(rreq)
                 return None
@@ -376,14 +381,6 @@ class RecoveryManager:
         import time as _time
 
         return _time.monotonic() + timeout
-
-    def _poll_step(self, deadline, what: str) -> None:
-        if self.engine.progress.poll() == 0:
-            import time as _time
-
-            _time.sleep(0)
-            if deadline is not None and _time.monotonic() > deadline:
-                raise MpiErrTimeout(what)
 
     # -- shrink epochs ---------------------------------------------------------
 

@@ -5,6 +5,8 @@ The MPICH2 Windows sock channel is built on IOCP, which the SSCLI PAL does
 in Motor (paper §7.1).  This module provides the same programming model:
 handles are associated with a port, readiness posts a completion packet,
 and a progress loop drains the port with ``get_queued_completion_status``.
+A port may also carry its owner's doorbell, which every posted completion
+rings, so a waiter parked outside the port still wakes on arrival.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ class CompletionPacket:
 class CompletionPort:
     """A queue of I/O completion packets fed by associated pipes."""
 
-    def __init__(self, name: str = "") -> None:
+    def __init__(self, name: str = "", doorbell: Any = None) -> None:
         self.name = name
+        #: rung after every posted completion (anything with ``ring()``)
+        self.doorbell = doorbell
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
         self._queue: deque[CompletionPacket] = deque()
@@ -54,12 +58,16 @@ class CompletionPort:
                 CompletionPacket(key=key, handle=pipe, bytes_transferred=pipe.peek_available())
             )
             self._ready.notify()
+        if self.doorbell is not None:
+            self.doorbell.ring()
 
     def post(self, key: Any, handle: Any = None, nbytes: int = 0) -> None:
         """Manually post a completion packet (PostQueuedCompletionStatus)."""
         with self._lock:
             self._queue.append(CompletionPacket(key=key, handle=handle, bytes_transferred=nbytes))
             self._ready.notify()
+        if self.doorbell is not None:
+            self.doorbell.ring()
 
     def get_queued_completion_status(self, timeout: float | None = 0.0) -> CompletionPacket | None:
         """Dequeue one packet; ``None`` on timeout (seconds; 0 = poll)."""

@@ -117,6 +117,39 @@ class TestDeadlock:
         assert len(hits) == 1
         assert "rank 0" in hits[0].message and "rank 1" in hits[0].message
 
+    def test_wait_any_pair(self, monkeypatch):
+        """Both ranks block in wait_any on a receive nobody sends.  The
+        knot must be found from the ticks of parks that time out, long
+        before any wall timeout could run out."""
+        from repro.mp.buffers import BufferDesc, NativeMemory
+        from repro.mp.channels.base import Doorbell
+
+        timed_out = []
+        real = Doorbell.park
+
+        def counting(self, seen, timeout):
+            rung = real(self, seen, timeout)
+            if not rung:
+                timed_out.append(timeout)
+            return rung
+
+        monkeypatch.setattr(Doorbell, "park", counting)
+
+        def main(ctx):
+            eng = ctx.engine
+            peer = 1 - ctx.rank
+            reqs = [eng.irecv(BufferDesc.from_native(NativeMemory(4)), peer, tag)
+                    for tag in (1, 2)]
+            eng.wait_any(reqs)  # no timeout: only the detector can end this
+            return "unreachable"
+
+        results, report = mpiexec_sanitized(2, main, timeout=60.0)
+        assert results is None
+        hits = report.by_rule("MA-R01")
+        assert len(hits) == 1
+        assert "wait_any(" in hits[0].message
+        assert timed_out, "the detector ran without any park timing out"
+
     def test_rendezvous_send_send_pair(self):
         def main(ctx):
             vm = ctx.session

@@ -301,8 +301,11 @@ class TestTestAllDeadPeer:
 class TestWaitAnySpinReset:
     def test_productive_poll_resets_backoff(self, monkeypatch):
         """Regression: wait_any never reset ``spin`` after a productive
-        poll, so 64 cumulative idle polls locked in sleep(0) forever."""
+        poll, so 64 cumulative idle polls locked in sleep(0) forever.
+        wait_any now waits in ProgressCore.block_until; without a
+        doorbell to park on it spins, and that spin must keep the reset."""
         eng = _lonely_engine()
+        monkeypatch.setattr(eng.device.channel, "doorbell", None)
         req = _FakeReq()
         sleeps = []
         monkeypatch.setattr(time, "sleep", lambda s: sleeps.append(s))
@@ -316,7 +319,7 @@ class TestWaitAnySpinReset:
             req.done = True
             return 1
 
-        monkeypatch.setattr(eng.progress, "poll", scripted_poll)
+        monkeypatch.setattr(eng.progress.core, "step", scripted_poll)
         assert eng.wait_any([req]) == 0
         assert sleeps == []
 
