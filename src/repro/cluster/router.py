@@ -206,7 +206,9 @@ class PacketRouter:
                 with self._lock:
                     self._go_sent = True
                 go = encode_frame(GO, self.world_size)
-                for c in self._by_rank.values():
+                # snapshot: a failed send closes its conn and drops it from
+                # _by_rank mid-broadcast
+                for c in list(self._by_rank.values()):
                     self._enqueue(c, go)
         elif ftype in (RESULT, ERROR):
             with self._lock:

@@ -13,6 +13,9 @@ Instance data (or array elements) begins at offset 16.  References are
 
 from __future__ import annotations
 
+import struct
+from functools import lru_cache
+
 from repro.runtime.errors import (
     InvalidCastError,
     NullReferenceError_,
@@ -25,6 +28,7 @@ from repro.runtime.typesys import (
     REF_SIZE,
     FieldDesc,
     MethodTable,
+    PrimitiveType,
     TypeRegistry,
     align8,
 )
@@ -35,6 +39,15 @@ HDR_MT = 0
 HDR_FLAGS = 4
 HDR_SIZE = 8
 HDR_AUX = 12
+
+#: mt_id and aux in one read (the flags and size words skipped)
+_MT_AUX = struct.Struct("<I8xI")
+
+
+@lru_cache(maxsize=512)
+def _bulk_codec(fmt: str, count: int) -> struct.Struct:
+    """The compiled ``<{count}{code}`` codec for ``count`` elements of format ``fmt``."""
+    return struct.Struct(f"<{count}{fmt[1:]}")
 
 
 class ObjectModel:
@@ -117,45 +130,56 @@ class ObjectModel:
 
     # -- arrays ---------------------------------------------------------------
 
-    def array_length(self, addr: int) -> int:
-        mt = self.method_table(addr)
-        if not mt.is_array:
-            raise InvalidCastError(f"{mt.name} is not an array")
-        return self.heap.read_u32(addr + HDR_AUX)
+    def array_header(self, addr: int) -> tuple[MethodTable, int]:
+        """(method table, length) from one header read.
 
-    def array_elem_addr(self, addr: int, index: int) -> int:
-        mt = self.method_table(addr)
-        length = self.heap.read_u32(addr + HDR_AUX)
+        The length word is the header's aux slot, which is 0 for a plain
+        object, so an element index into a non-array is always out of range.
+        """
+        if addr == 0:
+            raise NullReferenceError_("method table of null reference")
+        mt_id, length = _MT_AUX.unpack_from(self.heap.mem, addr)
+        return self.registry.by_id(mt_id), length
+
+    def slot_addr(self, addr: int, mt: MethodTable, length: int, index: int) -> int:
+        """Bounds-checked address of element ``index`` (header already read)."""
         if not 0 <= index < length:
             raise ObjectModelViolation(
                 f"index {index} out of range for {mt.name}[{length}]"
             )
         return addr + ARRAY_DATA_OFFSET + index * mt.element_size
 
-    def get_elem(self, addr: int, index: int):
-        mt = self.method_table(addr)
-        ea = self.array_elem_addr(addr, index)
-        if mt.element_is_ref:
-            return self.heap.read_u64(ea)
-        return mt.element_type.unpack_from(self.heap.mem, ea)
+    def array_length(self, addr: int) -> int:
+        mt, length = self.array_header(addr)
+        if not mt.is_array:
+            raise InvalidCastError(f"{mt.name} is not an array")
+        return length
 
     def set_elem(self, addr: int, index: int, value) -> None:
-        mt = self.method_table(addr)
-        ea = self.array_elem_addr(addr, index)
+        mt, length = self.array_header(addr)
+        ea = self.slot_addr(addr, mt, length, index)
         if mt.element_is_ref:
             raise ObjectModelViolation(
                 "reference array elements must go through the write barrier"
             )
         mt.element_type.pack_into(self.heap.mem, ea, value)
 
-    def set_elem_ref_raw(self, addr: int, index: int, target: int) -> None:
-        ea = self.array_elem_addr(addr, index)
-        self.heap.write_u64(ea, target)
+    @staticmethod
+    def _slice_count(length: int, offset: int, count: int | None) -> int:
+        """``count`` (defaulting to the rest of the array), refused past the end."""
+        if count is None:
+            count = length - offset
+        if offset < 0 or count < 0 or offset + count > length:
+            raise ObjectModelViolation(
+                f"array slice [{offset}:{offset + count}] exceeds "
+                f"length {length} — refused to protect the object model"
+            )
+        return count
 
     def array_data_range(self, addr: int, offset_elems: int = 0, count: int | None = None) -> tuple[int, int]:
         """(data_addr, nbytes) for a primitive-array slice — the zero-copy
         window the transport reads from / writes into."""
-        mt = self.method_table(addr)
+        mt, length = self.array_header(addr)
         if not mt.is_array:
             # A plain object's 'data range' is its instance data.
             if offset_elems or count is not None:
@@ -164,26 +188,54 @@ class ObjectModel:
                     "(there is no safe way to refer to a subset of an object)"
                 )
             return addr + OBJECT_HEADER_SIZE, mt.instance_size - OBJECT_HEADER_SIZE
-        length = self.array_length(addr)
-        if count is None:
-            count = length - offset_elems
-        if offset_elems < 0 or count < 0 or offset_elems + count > length:
-            raise ObjectModelViolation(
-                f"array slice [{offset_elems}:{offset_elems + count}] exceeds "
-                f"length {length} — refused to protect the object model"
-            )
+        count = self._slice_count(length, offset_elems, count)
         es = mt.element_size
         return addr + ARRAY_DATA_OFFSET + offset_elems * es, count * es
+
+    # -- bulk primitive-array access ---------------------------------------------
+
+    def _primitive_slice(
+        self, addr: int, offset: int, count: int | None
+    ) -> tuple[PrimitiveType, int, int]:
+        """(element type, data address, count) of a checked primitive slice."""
+        mt, length = self.array_header(addr)
+        if not mt.is_array:
+            raise InvalidCastError(f"{mt.name} is not an array")
+        if mt.element_is_ref:
+            raise ObjectModelViolation(
+                f"bulk access needs a primitive array; {mt.name} holds references, "
+                "which must go through the write barrier"
+            )
+        count = self._slice_count(length, offset, count)
+        prim = mt.element_type
+        return prim, addr + ARRAY_DATA_OFFSET + offset * prim.size, count
+
+    def get_elems(self, addr: int, offset: int = 0, count: int | None = None) -> list:
+        """Elements ``[offset, offset+count)`` of a primitive array, one unpack."""
+        prim, data_addr, count = self._primitive_slice(addr, offset, count)
+        return list(_bulk_codec(prim.fmt, count).unpack_from(self.heap.mem, data_addr))
+
+    def set_elems(self, addr: int, values, offset: int = 0) -> None:
+        """Write ``values`` from element ``offset`` on, with one pack.
+
+        A slice past the end raises :class:`ObjectModelViolation` and a value
+        the element codec refuses raises ``struct.error``, both before any
+        byte of the array changes.
+        """
+        if not isinstance(values, (list, tuple)):
+            values = list(values)
+        prim, data_addr, count = self._primitive_slice(addr, offset, len(values))
+        packed = _bulk_codec(prim.fmt, count).pack(*values)
+        self.heap.mem[data_addr : data_addr + len(packed)] = packed
 
     # -- graph walking (used by the GC and the serializer) ----------------------
 
     def ref_slots(self, addr: int) -> list[int]:
         """Absolute addresses of every reference slot inside the object."""
-        mt = self.method_table(addr)
+        mt, length = self.array_header(addr)
         if mt.is_array:
             if not mt.element_is_ref:
                 return []
-            length = self.array_length(addr)
             base = addr + ARRAY_DATA_OFFSET
             return [base + i * REF_SIZE for i in range(length)]
         return [addr + fd.offset for fd in mt.fields if fd.is_ref]

@@ -131,7 +131,12 @@ class ManagedRuntime:
         return ref
 
     def new_array(self, element_type_name: str, length: int, values: Iterable | None = None) -> ObjRef:
-        """Allocate a managed array (primitive or reference elements)."""
+        """Allocate a managed array (primitive or reference elements).
+
+        Primitive ``values`` are written with one bulk pack: more values than
+        ``length`` raise :class:`ObjectModelViolation` before any element is
+        written, and fewer leave the tail zeroed.
+        """
         if length < 0:
             raise InvalidOperation("negative array length")
         mt = self.registry.array_of(element_type_name)
@@ -141,11 +146,11 @@ class ManagedRuntime:
         self.om.write_header(addr, mt, size, aux=length)
         ref = ObjRef(self.handles, addr)
         if values is not None:
-            for i, v in enumerate(values):
-                if mt.element_is_ref:
+            if mt.element_is_ref:
+                for i, v in enumerate(values):
                     self.set_elem_ref(ref, i, v)
-                else:
-                    self.om.set_elem(ref.addr, i, v)
+            else:
+                self.om.set_elems(addr, values)
         return ref
 
     def new_byte_array(self, data: bytes | bytearray) -> ObjRef:
@@ -155,8 +160,7 @@ class ManagedRuntime:
 
     def new_string(self, s: str) -> ObjRef:
         ref = self.new_array("char", len(s))
-        for i, ch in enumerate(s):
-            self.om.set_elem(ref.addr, i, ord(ch))
+        self.om.set_elems(ref.addr, [ord(ch) for ch in s])
         return ref
 
     def null_ref(self) -> ObjRef:
@@ -210,24 +214,35 @@ class ManagedRuntime:
         return self.om.array_length(ref.require())
 
     def get_elem(self, ref: ObjRef, index: int):
-        mt = self.om.method_table(ref.require())
-        raw = self.om.get_elem(ref.addr, index)
+        addr = ref.require()
+        mt, length = self.om.array_header(addr)
+        ea = self.om.slot_addr(addr, mt, length, index)
         if mt.element_is_ref:
+            raw = self.heap.read_u64(ea)
             return None if raw == 0 else ObjRef(self.handles, raw)
-        return raw
+        return mt.element_type.unpack_from(self.heap.mem, ea)
 
     def set_elem(self, ref: ObjRef, index: int, value) -> None:
         self.om.set_elem(ref.require(), index, value)
 
     def set_elem_ref(self, ref: ObjRef, index: int, target: "ObjRef | None") -> None:
         addr = ref.require()
-        mt = self.om.method_table(addr)
+        mt, length = self.om.array_header(addr)
         if not mt.element_is_ref:
             raise ObjectModelViolation(f"{mt.name} is not a reference array")
         taddr = 0 if target is None or target.is_null else target.addr
-        ea = self.om.array_elem_addr(addr, index)
-        self.om.set_elem_ref_raw(addr, index, taddr)
+        ea = self.om.slot_addr(addr, mt, length, index)
+        self.heap.write_u64(ea, taddr)
         self.gc.record_write(ea, taddr)
+
+    def array_values(self, ref: ObjRef, offset: int = 0, count: int | None = None) -> list:
+        """Elements ``[offset, offset+count)`` of a primitive array as a list.
+
+        One header read and one unpack for the whole slice; the values equal
+        what per-element :meth:`get_elem` reads return.  Reference arrays are
+        refused with :class:`ObjectModelViolation`.
+        """
+        return self.om.get_elems(ref.require(), offset, count)
 
     def array_bytes(self, ref: ObjRef, offset: int = 0, count: int | None = None) -> bytes:
         data_addr, nbytes = self.om.array_data_range(ref.require(), offset, count)

@@ -92,24 +92,30 @@ def verify_linked_list(
     total_bytes: int = 4096,
     expect_next2_null: bool = True,
 ) -> None:
-    """Assert a received list matches what the builder produced."""
+    """Check a received list matches what the builder produced.
+
+    Every element of every array is compared.  A mismatch raises
+    ``AssertionError`` explicitly, so the check holds under ``python -O``.
+    """
     payloads = list_payload_ints(elements, total_bytes)
     node = head
     for k, data in enumerate(payloads):
-        assert node is not None and not node.is_null, f"list ended early at element {k}"
+        if node is None or node.is_null:
+            raise AssertionError(f"list ended early at element {k}")
         arr = runtime.get_field(node, "array")
-        assert arr is not None, f"element {k} lost its array"
-        n = runtime.array_length(arr)
-        assert n == len(data), f"element {k}: {n} ints, expected {len(data)}"
-        for i, expected in enumerate(data):
-            got = runtime.get_elem(arr, i)
-            assert got == expected, f"element {k}[{i}] = {got}, expected {expected}"
-        if expect_next2_null:
-            assert runtime.get_field(node, "next2") is None, (
-                f"element {k}: next2 should not have been transported"
-            )
+        if arr is None:
+            raise AssertionError(f"element {k} lost its array")
+        got = runtime.array_values(arr)
+        if len(got) != len(data):
+            raise AssertionError(f"element {k}: {len(got)} ints, expected {len(data)}")
+        if got != data:
+            i = next(i for i, (g, e) in enumerate(zip(got, data)) if g != e)
+            raise AssertionError(f"element {k}[{i}] = {got[i]}, expected {data[i]}")
+        if expect_next2_null and runtime.get_field(node, "next2") is not None:
+            raise AssertionError(f"element {k}: next2 should not have been transported")
         node = runtime.get_field(node, "next")
-    assert node is None, "list longer than expected"
+    if node is not None:
+        raise AssertionError("list longer than expected")
 
 
 def count_objects(elements: int) -> int:

@@ -32,8 +32,20 @@ FIG9_SIZES = [4 << i for i in range(17)]  # 4 .. 262144
 FIG10_OBJECT_COUNTS = [2 << i for i in range(13)]  # 2 .. 8192
 
 
+#: one period of the payload pattern: byte i is (i*37 + 11) % 256, period 256
+_PATTERN_PERIOD = bytes((i * 37 + 11) % 256 for i in range(256))
+
+
 def _pattern(nbytes: int) -> bytes:
-    return bytes((i * 37 + 11) % 256 for i in range(nbytes))
+    """The deterministic ping-pong payload of ``nbytes`` bytes."""
+    reps, rest = divmod(nbytes, 256)
+    return _PATTERN_PERIOD * reps + _PATTERN_PERIOD[:rest]
+
+
+def _check_payload(got: bytes, size: int, what: str) -> None:
+    """Raise ``AssertionError`` (also under ``python -O``) on a corrupted payload."""
+    if got != _pattern(size):
+        raise AssertionError(f"{what} payload corrupted at size {size}")
 
 
 class BufferPingPong:
@@ -72,17 +84,13 @@ class BufferPingPong:
                     else:
                         ad.recv(buf, peer, 1)
                         if verify and i == 0:
-                            assert ad.read(buf) == _pattern(size), (
-                                f"{self.flavor}: ping payload corrupted at size {size}"
-                            )
+                            _check_payload(ad.read(buf), size, f"{self.flavor}: ping")
                         ad.send(buf, peer, 2)
                 if me == 0:
                     per_run.append((clock.now() - t0) / timed / 1e3)  # us/iter
             if me == 0:
                 if verify:
-                    assert ad.read(buf) == _pattern(size), (
-                        f"{self.flavor}: payload corrupted at size {size}"
-                    )
+                    _check_payload(ad.read(buf), size, f"{self.flavor}:")
                 results[size] = per_run
         return results if me == 0 else None
 
@@ -277,8 +285,6 @@ class PairPingPong:
                     per_run.append((clock.now() - t0) / timed / 1e3)
             if lead:
                 if self.verify:
-                    assert ad.read(buf) == _pattern(size), (
-                        f"pair {me}<->{peer}: payload corrupted at size {size}"
-                    )
+                    _check_payload(ad.read(buf), size, f"pair {me}<->{peer}:")
                 results[size] = per_run
         return {s: sum(v) / len(v) for s, v in results.items()} if lead else None

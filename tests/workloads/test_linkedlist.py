@@ -1,6 +1,13 @@
 """The Figure 5 / Figure 10 LinkedArray workload builder."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.workloads.linkedlist import (
     build_linked_list,
@@ -75,3 +82,83 @@ class TestBuilder:
         runtime.set_elem(arr, 0, 12345)
         with pytest.raises(AssertionError):
             verify_linked_list(runtime, head, 2, 64)
+
+    def test_verify_names_the_first_differing_element(self, runtime):
+        head = build_linked_list(runtime, 3, 96)
+        second = runtime.get_field(head, "next")
+        arr = runtime.get_field(second, "array")
+        expected = list_payload_ints(3, 96)[1]
+        runtime.set_elem(arr, 5, -1)
+        runtime.set_elem(arr, 7, -2)
+        with pytest.raises(AssertionError, match=rf"^element 1\[5\] = -1, expected {expected[5]}$"):
+            verify_linked_list(runtime, head, 3, 96)
+
+    def test_verify_checks_the_last_element_of_the_last_array(self, runtime):
+        head = build_linked_list(runtime, 2, 64)
+        last = runtime.get_field(runtime.get_field(head, "next"), "array")
+        n = runtime.array_length(last)
+        runtime.set_elem(last, n - 1, runtime.get_elem(last, n - 1) + 1)
+        with pytest.raises(AssertionError, match=rf"^element 1\[{n - 1}\] = "):
+            verify_linked_list(runtime, head, 2, 64)
+
+    @pytest.mark.parametrize(
+        "elements,message",
+        [(5, "list ended early at element 4"), (3, "list longer than expected")],
+    )
+    def test_verify_length_messages(self, runtime, elements, message):
+        head = build_linked_list(runtime, 4, 128)
+        with pytest.raises(AssertionError, match=message):
+            verify_linked_list(runtime, head, elements, 128 * elements // 4)
+
+    def test_verify_array_length_message(self, runtime):
+        head = build_linked_list(runtime, 2, 64)
+        runtime.set_ref(head, "array", runtime.new_array("int32", 3))
+        with pytest.raises(AssertionError, match=r"^element 0: 3 ints, expected 8$"):
+            verify_linked_list(runtime, head, 2, 64)
+
+    def test_verify_next2_message(self, runtime):
+        head = build_linked_list(runtime, 2, 64, wire_next2=True)
+        with pytest.raises(AssertionError, match="element 0: next2 should not have been"):
+            verify_linked_list(runtime, head, 2, 64)
+
+
+_OPTIMIZED_CHECKS = """
+import sys
+from repro.runtime.runtime import ManagedRuntime
+from repro.workloads.linkedlist import build_linked_list, verify_linked_list
+from repro.workloads.pingpong import _check_payload, _pattern
+
+assert False, "assert statements must be stripped in this interpreter"
+rt = ManagedRuntime()
+head = build_linked_list(rt, 4, 128)
+arr = rt.get_field(rt.get_field(head, "next"), "array")
+rt.set_elem(arr, 2, 999)
+caught = []
+try:
+    verify_linked_list(rt, head, 4, 128)
+except AssertionError as exc:
+    caught.append(str(exc))
+bad = bytearray(_pattern(300))
+bad[299] ^= 1
+try:
+    _check_payload(bytes(bad), 300, "cpp:")
+except AssertionError as exc:
+    caught.append(str(exc))
+print([sys.flags.optimize, caught])
+"""
+
+
+def test_checks_hold_under_python_O():
+    """``python -O`` strips ``assert``; the list and payload checks still raise."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    data = list_payload_ints(4, 128)[1]
+    assert out.strip() == str(
+        [1, [f"element 1[2] = 999, expected {data[2]}", "cpp: payload corrupted at size 300"]]
+    )

@@ -7,6 +7,8 @@ from repro.workloads.adapters import ADAPTERS, make_adapter
 from repro.workloads.pingpong import (
     FIG9_SIZES,
     FIG10_OBJECT_COUNTS,
+    _check_payload,
+    _pattern,
     sweep_buffer_pingpong,
     sweep_tree_pingpong,
 )
@@ -23,6 +25,19 @@ class TestAxes:
     def test_fig10_counts(self):
         assert FIG10_OBJECT_COUNTS[0] == 2
         assert FIG10_OBJECT_COUNTS[-1] == 8192
+
+
+class TestPattern:
+    @pytest.mark.parametrize("nbytes", [0, 1, 255, 256, 257, 65539])
+    def test_matches_the_bytewise_generator(self, nbytes):
+        assert _pattern(nbytes) == bytes((i * 37 + 11) % 256 for i in range(nbytes))
+
+    def test_check_payload(self):
+        _check_payload(_pattern(513), 513, "cpp:")
+        bad = bytearray(_pattern(513))
+        bad[256] ^= 0xFF
+        with pytest.raises(AssertionError, match="^cpp: ping payload corrupted at size 513$"):
+            _check_payload(bytes(bad), 513, "cpp: ping")
 
 
 class TestAdapters:
